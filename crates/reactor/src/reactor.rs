@@ -127,6 +127,22 @@ struct IoShared<M> {
 struct Inbox<M> {
     msgs: Vec<(u64, M)>,
     incoming: Vec<Incoming<M>>,
+    /// Whether the waker has been rung since the loop last took this
+    /// inbox. Only the first post after a take writes the eventfd; later
+    /// posts ride the same wake, so a shard finishing a batch of replies
+    /// for one loop pays one syscall, not one per reply.
+    notified: bool,
+}
+
+impl<M> Inbox<M> {
+    /// Marks the inbox notified and reports whether the caller must ring
+    /// the waker (the first arrival since the loop's last take). The
+    /// caller rings it after releasing the lock: the loop drains the
+    /// eventfd before it takes the inbox, so a wake written after the
+    /// flag was set is never consumed by a take that missed the message.
+    fn arm(&mut self) -> bool {
+        !std::mem::replace(&mut self.notified, true)
+    }
 }
 
 struct Incoming<M> {
@@ -155,13 +171,17 @@ impl<M> Clone for Mailbox<M> {
 
 impl<M: Send> Mailbox<M> {
     /// Delivers `msg` to the connection's next `drive` call and wakes the
-    /// owning I/O thread.
+    /// owning I/O thread, unless an earlier post already did and the
+    /// thread has not yet taken its inbox.
     pub fn post(&self, msg: M) {
-        {
+        let wake = {
             let mut inbox = self.shared.inbox.lock().expect("reactor inbox poisoned");
             inbox.msgs.push((self.token, msg));
+            inbox.arm()
+        };
+        if wake {
+            self.shared.waker.wake();
         }
-        self.shared.waker.wake();
     }
 }
 
@@ -200,6 +220,7 @@ impl<M: Send + 'static> Reactor<M> {
                 inbox: Mutex::new(Inbox {
                     msgs: Vec::new(),
                     incoming: Vec::new(),
+                    notified: false,
                 }),
                 counters: LoopCounters::default(),
             }));
@@ -255,11 +276,14 @@ impl<M: Send + 'static> Reactor<M> {
             token,
         };
         let driver = make(stream, mailbox)?;
-        {
+        let wake = {
             let mut inbox = shared.inbox.lock().expect("reactor inbox poisoned");
             inbox.incoming.push(Incoming { token, fd, driver });
+            inbox.arm()
+        };
+        if wake {
+            shared.waker.wake();
         }
-        shared.waker.wake();
         Ok(())
     }
 
@@ -376,6 +400,7 @@ fn io_loop<M: Send>(
             shared.waker.drain();
             let (msgs, incoming) = {
                 let mut inbox = shared.inbox.lock().expect("reactor inbox poisoned");
+                inbox.notified = false;
                 (
                     std::mem::take(&mut inbox.msgs),
                     std::mem::take(&mut inbox.incoming),
@@ -627,6 +652,95 @@ mod tests {
         assert!(stats[0].messages >= 1);
         reactor.shutdown();
         assert_eq!(reactor.connections(), 0);
+    }
+
+    #[test]
+    fn only_the_first_post_since_a_take_rings_the_waker() {
+        let mut inbox: Inbox<()> = Inbox {
+            msgs: Vec::new(),
+            incoming: Vec::new(),
+            notified: false,
+        };
+        assert!(inbox.arm(), "first arrival rings");
+        assert!(!inbox.arm(), "later arrivals ride the same wake");
+        inbox.notified = false; // what the loop does as it takes the inbox
+        assert!(inbox.arm(), "the next arrival rings again");
+    }
+
+    /// Driver that counts the mailbox messages it receives.
+    struct Counter {
+        _stream: TcpStream,
+        got: Arc<AtomicU64>,
+    }
+
+    impl Driver for Counter {
+        type Msg = u64;
+
+        fn drive(&mut self, _ready: Ready, msgs: &mut VecDeque<u64>, _ctl: &mut Ctl) -> Status {
+            self.got.fetch_add(msgs.len() as u64, Ordering::SeqCst);
+            msgs.clear();
+            Status::Continue
+        }
+    }
+
+    #[test]
+    fn concurrent_posts_during_drains_lose_no_wakeup() {
+        const POSTERS: usize = 4;
+        const PER_ROUND: u64 = 2_000;
+        const ROUNDS: u64 = 20;
+        let reactor: Reactor<u64> = Reactor::spawn(1, "coalesce-test").unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (s, _) = listener.accept().unwrap();
+        let got = Arc::new(AtomicU64::new(0));
+        let mailbox_out = Mutex::new(None);
+        let counter = Arc::clone(&got);
+        reactor
+            .register(s, |stream, mailbox| {
+                *mailbox_out.lock().unwrap() = Some(mailbox);
+                Ok(Box::new(Counter {
+                    _stream: stream,
+                    got: counter,
+                }))
+            })
+            .unwrap();
+        let mailbox = mailbox_out.lock().unwrap().take().unwrap();
+
+        // Each round, several threads post at once while the loop drains
+        // what they posted so far. The loop must see every message — and
+        // then go idle, so the next round's first post has to ring again.
+        for round in 1..=ROUNDS {
+            let start = std::sync::Barrier::new(POSTERS);
+            thread::scope(|scope| {
+                for _ in 0..POSTERS {
+                    let mailbox = mailbox.clone();
+                    let start = &start;
+                    scope.spawn(move || {
+                        start.wait();
+                        for i in 0..PER_ROUND {
+                            mailbox.post(i);
+                            if i % 64 == 0 {
+                                thread::yield_now();
+                            }
+                        }
+                    });
+                }
+            });
+            let want = round * POSTERS as u64 * PER_ROUND;
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while got.load(Ordering::SeqCst) < want && Instant::now() < deadline {
+                thread::sleep(Duration::from_millis(1));
+            }
+            assert_eq!(
+                got.load(Ordering::SeqCst),
+                want,
+                "round {round} lost a wakeup"
+            );
+        }
+        let stats = reactor.stats();
+        assert_eq!(stats[0].messages, ROUNDS * POSTERS as u64 * PER_ROUND);
+        assert!(stats[0].wakeups >= ROUNDS, "every round needed a wake");
+        reactor.shutdown();
     }
 
     /// Driver that closes after its deadline fires, recording the firing.

@@ -13,8 +13,10 @@ use crate::sys;
 /// reach a connection owned by a sleeping I/O thread: post the message, ring
 /// the eventfd.
 ///
-/// Wakes coalesce in the kernel counter — a thousand replies landing while
-/// the loop is busy cost one drain, not a thousand turns.
+/// Wakes coalesce twice: the reactor's inbox rings the eventfd only for the
+/// first post since the loop last took it, and the kernel counter folds any
+/// remaining writes — a thousand replies landing while the loop is busy
+/// cost one write and one drain, not a thousand turns.
 pub struct Waker {
     fd: RawFd,
 }

@@ -14,12 +14,13 @@
 //! in the cache on the way back. Binaries: `p4lru_serverd` (the daemon) and
 //! `loadgen` (the benchmark client).
 //!
-//! The request path is pipelined (DESIGN.md §9): connections carry up to a
+//! The request path is pipelined (DESIGN.md §9): a pool of epoll event
+//! loops (DESIGN.md §12) multiplexes the connections, each carrying up to a
 //! configurable window of in-flight requests over buffered framed I/O
-//! ([`protocol::FrameReader`]/[`protocol::FrameWriter`]), shards reply out
-//! of order over one long-lived per-connection channel, and the handler
-//! reorders by sequence number so the wire always sees responses in request
-//! order.
+//! ([`protocol::FrameReader`]/[`protocol::FrameWriter`]). Shards reply out
+//! of order into one long-lived per-connection mailbox, and the
+//! connection's driver reorders by sequence number so the wire always sees
+//! responses in request order.
 //!
 //! Observability (DESIGN.md §10): every request carries a
 //! [`p4lru_obs::RequestTrace`] stamped at eight lifecycle stages, feeding
@@ -53,5 +54,5 @@ pub use metrics::{
 pub use openloop::{run_open_loop, sweep_to_figure_json, OpenLoopConfig, OpenLoopSummary};
 pub use protocol::{FrameReader, FrameWriter, Request, Response};
 pub use repl::{ReplConfig, Role};
-pub use server::{shard_of, Frontend, Server, ServerConfig};
+pub use server::{shard_of, Server, ServerConfig};
 pub use shard::Shard;

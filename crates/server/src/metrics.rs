@@ -53,7 +53,7 @@ pub struct ShardMetrics {
     /// 1 if the last recovery skipped a torn/corrupt final WAL record.
     pub recovery_torn: AtomicU64,
     /// Requests currently queued on this shard's channel (gauge: connection
-    /// handlers increment on dispatch, the shard loop decrements on
+    /// drivers increment on dispatch, the shard loop decrements on
     /// dequeue). Pipelining is what makes this exceed the connection count.
     pub queue_depth: AtomicU64,
     /// Commit batches the shard loop has run (one commit — at most one
@@ -140,14 +140,14 @@ impl ShardMetrics {
         Self::bump(&self.snapshots, 1);
     }
 
-    /// Records a request enqueued on the shard channel (handler side).
+    /// Records a request enqueued on the shard channel (connection side).
     pub fn queue_push(&self) {
         Self::bump(&self.queue_depth, 1);
     }
 
     /// Records a request dequeued by the shard loop. The decrement
     /// saturates at zero: `queue_depth` is a gauge assembled from two
-    /// unsynchronized counters (handlers push, the shard loop pops), and a
+    /// unsynchronized counters (connections push, the shard loop pops), and a
     /// pop observed before its matching push must read as a transient 0 in
     /// STATS, never wrap to ~`u64::MAX`.
     pub fn queue_pop(&self) {
@@ -549,11 +549,10 @@ impl ConnCounters {
         self.rejected.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// A point-in-time copy, labeled with the front-end that owns the
-    /// connections (`threads` or `reactor`).
-    pub fn snapshot(&self, frontend: &str) -> ConnSnapshot {
+    /// A point-in-time copy, labeled `frontend="reactor"`.
+    pub fn snapshot(&self) -> ConnSnapshot {
         ConnSnapshot {
-            frontend: frontend.to_string(),
+            frontend: "reactor".to_string(),
             current: self.current.load(Ordering::Relaxed),
             accepted_total: self.accepted.load(Ordering::Relaxed),
             rejected_total: self.rejected.load(Ordering::Relaxed),
@@ -564,7 +563,9 @@ impl ConnCounters {
 /// Connection accounting as carried by STATS.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ConnSnapshot {
-    /// Which front-end owns the connections (`threads` or `reactor`).
+    /// Which front-end owns the connections. serverd has one, `reactor`;
+    /// the label stays so STATS readers and `/metrics` scrapers keep
+    /// working.
     pub frontend: String,
     /// Connections currently open.
     pub current: u64,
@@ -574,8 +575,7 @@ pub struct ConnSnapshot {
     pub rejected_total: u64,
 }
 
-/// One reactor I/O thread's loop counters, as carried by STATS (empty for
-/// the thread-per-connection front-end).
+/// One reactor I/O thread's loop counters, as carried by STATS.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ReactorLoopSnapshot {
     /// I/O thread index.
@@ -611,8 +611,8 @@ pub struct StatsReport {
     /// Connection accounting (all-zero with an empty `frontend` when the
     /// report was built from shard counters alone, as in unit tests).
     pub conns: ConnSnapshot,
-    /// Per-io-thread reactor loop counters; empty under the threaded
-    /// front-end.
+    /// Per-io-thread reactor loop counters (empty when the report was
+    /// built from shard counters alone).
     pub reactor: Vec<ReactorLoopSnapshot>,
     /// Replication/cluster counters; `None` (serialized as `null`) on a
     /// standalone server.
@@ -1035,7 +1035,7 @@ mod tests {
         c.opened();
         c.rejected();
         c.closed();
-        let s = c.snapshot("reactor");
+        let s = c.snapshot();
         assert_eq!(s.frontend, "reactor");
         assert_eq!(s.current, 1);
         assert_eq!(s.accepted_total, 2);

@@ -487,14 +487,14 @@ pub fn sweep_to_figure_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::{Frontend, Server, ServerConfig};
+    use crate::server::{Server, ServerConfig};
 
-    fn summary_against(frontend: Frontend) -> (OpenLoopSummary, crate::metrics::StatsReport) {
+    #[test]
+    fn paced_run_completes() {
         let server = Server::spawn(&ServerConfig {
             items: 2_000,
             units_per_shard: 256,
             shards: 2,
-            frontend,
             ..ServerConfig::default()
         })
         .unwrap();
@@ -508,12 +508,7 @@ mod tests {
             ..OpenLoopConfig::default()
         })
         .unwrap();
-        (summary, server.shutdown())
-    }
-
-    #[test]
-    fn paced_run_completes_against_threads_frontend() {
-        let (summary, stats) = summary_against(Frontend::Threads);
+        let stats = server.shutdown();
         assert_eq!(summary.aborted_conns, 0, "every connection must drain");
         assert_eq!(summary.corrupt, 0);
         assert_eq!(summary.not_found, 0);
@@ -533,14 +528,6 @@ mod tests {
             summary.ops,
             "server saw exactly the acknowledged operations"
         );
-    }
-
-    #[test]
-    fn paced_run_completes_against_reactor_frontend() {
-        let (summary, stats) = summary_against(Frontend::Reactor);
-        assert_eq!(summary.aborted_conns, 0);
-        assert_eq!(summary.corrupt, 0);
-        assert!(summary.ops > 0);
         assert_eq!(stats.conns.frontend, "reactor");
         assert_eq!(stats.conns.accepted_total, 8);
         assert!(!stats.reactor.is_empty(), "reactor loop stats in STATS");

@@ -376,7 +376,7 @@ const IO_BUF: usize = 64 * 1024;
 
 /// A buffered frame reader: one `read` syscall pulls in as many frames as
 /// the kernel has queued, and subsequent frames are parsed straight out of
-/// the buffer. The pipelined connection handler uses
+/// the buffer. A blocking pipelined loop (routerd's, for one) uses
 /// [`FrameReader::has_buffered_frame`] to drain every already-received
 /// request before blocking.
 ///
@@ -540,9 +540,9 @@ impl<R: Read> FrameReader<R> {
 
 /// A buffered frame writer: frames accumulate in memory and go to the
 /// stream in one `write` syscall per [`FrameWriter::flush`] (or when the
-/// buffer passes its flush threshold). The connection handler flushes
-/// before every potential block, so a peer is never left waiting on a
-/// buffered reply.
+/// buffer passes its flush threshold). A blocking caller flushes before
+/// every potential block, so a peer is never left waiting on a buffered
+/// reply.
 ///
 /// Writes are resumable: on a nonblocking stream,
 /// [`FrameWriter::flush_nonblocking`] can stop at any byte boundary with

@@ -1,18 +1,18 @@
-//! The reactor front-end: one [`Driver`] per connection running the same
-//! pipelined pump as the threads front-end, restated as a nonblocking
-//! state machine (DESIGN.md §12).
+//! The connection front-end: one [`Driver`] per connection running the
+//! pipelined pump as a nonblocking state machine (DESIGN.md §12).
 //!
-//! Where the threads pump blocks — on the socket for the next request, on
-//! the reply channel for the next shard answer — the driver returns to its
-//! event loop and is re-driven by whichever event lands first: socket
-//! readiness (edge-triggered), a shard reply posted to the connection's
-//! [`Mailbox`], or nothing at all if the connection is idle. The
-//! edge-triggered contract is honored by construction: every `drive` call
-//! retries the buffered flush until `WouldBlock` and reads frames until
-//! `WouldBlock` or the pipeline window fills. A full window with bytes
-//! still in the kernel buffer is safe to park on — a window is only full
-//! when requests are in flight, and each of their replies arrives as a
-//! mailbox message that re-drives the connection back into the read loop.
+//! The driver never blocks. It returns to its event loop and is re-driven
+//! by whichever event lands first: socket readiness (edge-triggered), a
+//! shard reply posted to the connection's [`Mailbox`], or nothing at all
+//! if the connection is idle. The edge-triggered contract is honored by
+//! construction: every `drive` call retries the buffered flush until
+//! `WouldBlock` and reads frames until `WouldBlock` or the pipeline window
+//! fills. A full window with bytes still in the kernel buffer is safe to
+//! park on — a window is only full when requests are in flight, and each
+//! of their replies arrives as a mailbox message that re-drives the
+//! connection back into the read loop. A read that hit `WouldBlock` is not
+//! retried until the next readable edge: turns driven only by replies
+//! would find the socket just as empty.
 
 use std::collections::VecDeque;
 use std::io;
@@ -25,10 +25,10 @@ use p4lru_reactor::{Ctl, Driver, Mailbox, Ready, SharedStream, Status};
 use crate::protocol::{FrameReader, FrameWriter};
 use crate::server::{complete_flushed, serve, Conn, Ctx, Reply, ReplySink};
 
-/// Read-buffer bytes per connection. Deliberately far below the threads
-/// front-end's default: the reactor exists to hold tens of thousands of
-/// connections, so per-connection memory is the budget that matters, and
-/// the buffer grows on demand for the rare oversized frame.
+/// Read-buffer bytes per connection. Deliberately far below the framing
+/// default: the reactor exists to hold tens of thousands of connections,
+/// so per-connection memory is the budget that matters, and the buffer
+/// grows on demand for the rare oversized frame.
 const READ_BUF: usize = 8 * 1024;
 
 /// Write-buffer threshold per connection (same sizing argument).
@@ -43,6 +43,10 @@ pub(crate) struct ReactorConn {
     ctx: Arc<Ctx>,
     /// Reused frame-decode scratch buffer.
     frame: Vec<u8>,
+    /// The last socket read returned `WouldBlock`, and no readable or
+    /// hangup edge has arrived since. Edge-triggered epoll reports the
+    /// next arrival, so until then a read could only fail again.
+    drained: bool,
 }
 
 impl ReactorConn {
@@ -65,14 +69,15 @@ impl ReactorConn {
             conn: Conn::new(ReplySink::Mail(mailbox)),
             ctx,
             frame: Vec::new(),
+            drained: false,
         })
     }
 
     /// One pump turn: ship ready replies, flush, maybe finish a shutdown,
-    /// then read new requests up to the window. Returns `Some(status)` when
+    /// then read new requests up to the window. Returns `Err(status)` when
     /// the connection is done (either direction failed, the peer
-    /// disconnected, or a SHUTDOWN completed) and `None` with the count of
-    /// newly served requests otherwise.
+    /// disconnected, or a SHUTDOWN completed) and the count of newly
+    /// served requests otherwise.
     fn pump(&mut self, ctl: &mut Ctl) -> Result<u64, Status> {
         if self.conn.write_ready(&mut self.writer, &self.ctx).is_err() {
             return Err(Status::Close);
@@ -88,15 +93,19 @@ impl ReactorConn {
         }
         if self.conn.shutdown_acked() && self.writer.pending() == 0 {
             // The SHUTDOWN ack (and everything before it) is on the wire:
-            // stop the server exactly like the threads pump does, plus the
-            // reactor itself.
+            // stop the accept loop and the reactor itself.
             self.ctx.running.store(false, Ordering::SeqCst);
             let _ = TcpStream::connect(self.ctx.local_addr); // wake the accept loop
             ctl.stop_reactor();
             return Err(Status::Close);
         }
         let mut served = 0;
-        while self.conn.outstanding() < self.ctx.pipeline_window && self.conn.shutdown_at.is_none()
+        // `read_frame` only hits `WouldBlock` once no whole frame is left in
+        // the buffer, so a drained reader has nothing to parse without a
+        // fresh edge.
+        while !self.drained
+            && self.conn.outstanding() < self.ctx.pipeline_window
+            && self.conn.shutdown_at.is_none()
         {
             match self.reader.read_frame(&mut self.frame) {
                 Ok(true) => {
@@ -109,7 +118,7 @@ impl ReactorConn {
                     served += 1;
                 }
                 Ok(false) => return Err(Status::Close), // clean disconnect
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.drained = true,
                 Err(_) => return Err(Status::Close),
             }
         }
@@ -120,7 +129,10 @@ impl ReactorConn {
 impl Driver for ReactorConn {
     type Msg = Reply;
 
-    fn drive(&mut self, _ready: Ready, msgs: &mut VecDeque<Reply>, ctl: &mut Ctl) -> Status {
+    fn drive(&mut self, ready: Ready, msgs: &mut VecDeque<Reply>, ctl: &mut Ctl) -> Status {
+        if ready.readable || ready.hangup {
+            self.drained = false;
+        }
         for (seq, reply, trace) in msgs.drain(..) {
             self.conn.park(seq, reply, trace);
         }

@@ -4,17 +4,18 @@
 //! and drains an mpsc request channel — the software rendering of "one
 //! pipeline owns its registers", which is what lets the P4LRU arrays stay
 //! lock-free (see the thread-safety notes on
-//! [`p4lru_core::array::LruArray`]). Connection-handler threads run a
-//! pipelined pump (DESIGN.md §9): buffered framed I/O, up to
+//! [`p4lru_core::array::LruArray`]). The accept loop hands every connection
+//! to a pool of epoll event loops (DESIGN.md §12), whose per-connection
+//! drivers run a pipelined pump (DESIGN.md §9): buffered framed I/O, up to
 //! [`ServerConfig::pipeline_window`] requests in flight per connection, one
-//! long-lived reply channel per connection carrying `(seq, reply)` pairs
+//! long-lived reply mailbox per connection carrying `(seq, reply)` pairs
 //! back from the shards, and a reorder buffer that puts responses on the
 //! wire in request order no matter which shard finished first. STATS reads
 //! the shards' atomic counters directly, so it never queues behind the
 //! data path.
 //!
 //! Observability (DESIGN.md §10) rides the same paths: every request
-//! carries a [`p4lru_obs::RequestTrace`] that the handler and shard threads
+//! carries a [`p4lru_obs::RequestTrace`] that the I/O and shard threads
 //! stamp at each lifecycle stage (decode → route → queue → wal-append →
 //! apply → fsync/commit-gate → reorder → flush); completed traces feed the
 //! per-shard per-op latency histograms, the tracer's stage histograms, and
@@ -27,8 +28,8 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -42,7 +43,7 @@ use p4lru_reactor::{LoopStats, Mailbox, Reactor};
 
 use crate::expose::{build_report, render_prometheus_full, StatsSampler};
 use crate::metrics::{ConnCounters, ReactorLoopSnapshot, ShardMetrics, StatsReport};
-use crate::protocol::{encode_value, write_frame, FrameReader, FrameWriter, Request, Response};
+use crate::protocol::{encode_value, write_frame, FrameWriter, Request, Response};
 use crate::reactor_front::ReactorConn;
 use crate::repl::{
     follower_pull_loop, spawn_repl_listener, FollowerConfig, ReplConfig, ReplServer, ReplState,
@@ -54,45 +55,10 @@ use crate::shard::{record_from_bytes, Shard};
 /// seeds so routing and unit indexing stay uncorrelated.
 const ROUTE_SEED: u64 = 0x5EED_0F54_A2D5;
 
-/// How often an idle connection handler re-checks the shutdown flag.
+/// How often an idle replication connection re-checks the shutdown flag,
+/// and how long a rejected client connection's ERR frame may take to
+/// write.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(250);
-
-/// Which connection front-end the server runs (DESIGN.md §12).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Frontend {
-    /// One blocking handler thread per connection (the differential
-    /// baseline: simple, but each connection costs a thread).
-    #[default]
-    Threads,
-    /// A fixed pool of event-loop I/O threads multiplexing nonblocking
-    /// connections (epoll edge-triggered); connection count is bounded by
-    /// fds and per-connection buffers, not threads.
-    Reactor,
-}
-
-impl Frontend {
-    /// The label used in STATS and `/metrics` (`frontend="..."`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Frontend::Threads => "threads",
-            Frontend::Reactor => "reactor",
-        }
-    }
-}
-
-impl std::str::FromStr for Frontend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(Frontend::Threads),
-            "reactor" => Ok(Frontend::Reactor),
-            other => Err(format!(
-                "unknown frontend {other:?} (expected threads|reactor)"
-            )),
-        }
-    }
-}
 
 /// The shard a key is routed to: fixed-point multiply-shift range reduction
 /// of the routing hash. `(h as u128 * shards as u128) >> 64` maps the full
@@ -145,10 +111,7 @@ pub struct ServerConfig {
     /// `<data_dir>/samples.jsonl`; required explicitly when sampling a
     /// volatile server (no data dir to default into).
     pub sample_path: Option<PathBuf>,
-    /// Which connection front-end serves the data path.
-    pub frontend: Frontend,
-    /// Event-loop threads for the reactor front-end (ignored by
-    /// [`Frontend::Threads`]).
+    /// Event-loop threads multiplexing the client connections.
     pub io_threads: usize,
     /// Most connections allowed in service at once. Past the limit, new
     /// connections receive a protocol-level ERR frame and are closed
@@ -176,7 +139,6 @@ impl Default for ServerConfig {
             metrics_addr: None,
             sample_interval: None,
             sample_path: None,
-            frontend: Frontend::Threads,
             io_threads: 2,
             max_conns: 8192,
             repl: None,
@@ -246,20 +208,20 @@ impl ShardReply {
 /// reorder/flush).
 pub(crate) type Reply = (u64, ShardReply, RequestTrace);
 
-/// Where a shard posts a finished reply. The threads front-end gives every
-/// connection an mpsc channel its handler thread blocks on; the reactor
-/// front-end gives it a [`Mailbox`] whose post also wakes the owning event
-/// loop. Shards are indifferent: both ends are just `send`.
+/// Where a shard posts a finished reply. A client connection's sink is a
+/// [`Mailbox`] whose post also wakes the owning event loop; the follower's
+/// replication pull loop (a plain thread, not a connection) blocks on an
+/// mpsc channel instead. Shards are indifferent: both ends are just `send`.
 #[derive(Clone)]
 pub(crate) enum ReplySink {
-    /// Per-connection mpsc channel (threads front-end).
+    /// An mpsc channel (the replication pull loop).
     Chan(Sender<Reply>),
-    /// Reactor mailbox (posts wake the connection's event loop).
+    /// A connection's mailbox (posts wake its event loop).
     Mail(Mailbox<Reply>),
 }
 
 impl ReplySink {
-    /// Delivers one reply. A vanished connection (client hung up with
+    /// Delivers one reply. A vanished receiver (client hung up with
     /// requests in flight) is not an error on either path.
     pub(crate) fn send(&self, reply: Reply) {
         match self {
@@ -283,7 +245,7 @@ pub(crate) struct ShardRequest {
     pub(crate) reply: ReplySink,
 }
 
-/// What the accept loop hands every connection handler.
+/// What the accept loop hands every connection driver.
 pub(crate) struct Ctx {
     senders: Vec<Sender<ShardRequest>>,
     pub(crate) metrics: Vec<Arc<ShardMetrics>>,
@@ -295,11 +257,8 @@ pub(crate) struct Ctx {
     /// Connection gauge/counters shared by the accept loop, STATS, and
     /// `/metrics`.
     pub(crate) conns: Arc<ConnCounters>,
-    /// The reactor, when that front-end is running (drives the
-    /// per-io-thread STATS section).
-    reactor: Option<Arc<Reactor<Reply>>>,
-    /// `frontend="..."` label for STATS and `/metrics`.
-    frontend_name: &'static str,
+    /// The event loops (drive the per-io-thread STATS section).
+    reactor: Arc<Reactor<Reply>>,
     /// Replication state, when the node is part of a cluster: the data
     /// path checks the role (followers are read-only) and STATS carries
     /// the cluster section.
@@ -310,15 +269,32 @@ impl Ctx {
     /// The full STATS report: shard counters + tracer summaries +
     /// connection section + per-io-thread reactor loop stats.
     pub(crate) fn report(&self) -> StatsReport {
-        let mut report = build_report(&self.metrics, &self.tracer)
-            .with_conns(self.conns.snapshot(self.frontend_name));
-        if let Some(reactor) = &self.reactor {
-            report = report.with_reactor(reactor_snapshots(reactor));
-        }
-        if let Some(repl) = &self.repl {
-            report = report.with_cluster(repl.snapshot());
-        }
-        report
+        full_report(
+            &self.metrics,
+            &self.tracer,
+            &self.conns,
+            &self.reactor,
+            self.repl.as_deref(),
+        )
+    }
+}
+
+/// STATS for the whole server: shard counters, tracer summaries, the
+/// connection section, per-io-thread loop stats, and the cluster section
+/// on a replicated node.
+fn full_report(
+    metrics: &[Arc<ShardMetrics>],
+    tracer: &Tracer,
+    conns: &ConnCounters,
+    reactor: &Reactor<Reply>,
+    repl: Option<&ReplState>,
+) -> StatsReport {
+    let report = build_report(metrics, tracer)
+        .with_conns(conns.snapshot())
+        .with_reactor(reactor_snapshots(reactor));
+    match repl {
+        Some(repl) => report.with_cluster(repl.snapshot()),
+        None => report,
     }
 }
 
@@ -346,13 +322,11 @@ pub struct Server {
     running: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     shard_handles: Vec<JoinHandle<()>>,
-    handlers: Arc<Mutex<Vec<JoinHandle<()>>>>,
     senders: Vec<Sender<ShardRequest>>,
     metrics: Vec<Arc<ShardMetrics>>,
     tracer: Arc<Tracer>,
     conns: Arc<ConnCounters>,
-    reactor: Option<Arc<Reactor<Reply>>>,
-    frontend: Frontend,
+    reactor: Arc<Reactor<Reply>>,
     metrics_http: Option<MetricsHttp>,
     sampler: Option<Periodic>,
     start_mode: StartMode,
@@ -494,14 +468,23 @@ impl Server {
     /// the deterministic [`record_for`]`(k)`) or recovers them from
     /// `data_dir`, binds the listener, and spawns the shard and accept
     /// threads.
+    ///
+    /// A config no server can run — zero shards, a zero pipeline window,
+    /// zero cache units, or replication without a data dir — is refused
+    /// with [`io::ErrorKind::InvalidInput`].
     pub fn spawn(config: &ServerConfig) -> io::Result<Server> {
-        assert!(config.shards >= 1, "need at least one shard");
-        assert!(config.pipeline_window >= 1, "window admits one request");
+        let invalid = |msg: &str| Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+        if config.shards == 0 {
+            return invalid("need at least one shard");
+        }
+        if config.pipeline_window == 0 {
+            return invalid("the pipeline window must admit at least one request");
+        }
+        if config.units_per_shard == 0 {
+            return invalid("each shard needs at least one cache unit");
+        }
         if config.repl.is_some() && config.data_dir.is_none() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "replication ships the WAL, so it requires a data dir",
-            ));
+            return invalid("replication ships the WAL, so it requires a data dir");
         }
         let (shards, start_mode) = build_shards(config)?;
         let metrics: Vec<Arc<ShardMetrics>> = shards.iter().map(Shard::metrics).collect();
@@ -544,15 +527,8 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let running = Arc::new(AtomicBool::new(true));
-        let handlers = Arc::new(Mutex::new(Vec::new()));
         let conns = Arc::new(ConnCounters::default());
-        let reactor = match config.frontend {
-            Frontend::Threads => None,
-            Frontend::Reactor => Some(Arc::new(Reactor::spawn(
-                config.io_threads,
-                "p4lru-reactor",
-            )?)),
-        };
+        let reactor = Arc::new(Reactor::spawn(config.io_threads, "p4lru-reactor")?);
         let ctx = Arc::new(Ctx {
             senders: senders.clone(),
             metrics: metrics.clone(),
@@ -562,17 +538,15 @@ impl Server {
             local_addr,
             pipeline_window: config.pipeline_window as u64,
             conns: Arc::clone(&conns),
-            reactor: reactor.clone(),
-            frontend_name: config.frontend.name(),
+            reactor: Arc::clone(&reactor),
             repl: repl_state.clone(),
         });
         let accept = {
-            let handlers = Arc::clone(&handlers);
             let ctx = Arc::clone(&ctx);
             let max_conns = config.max_conns;
             thread::Builder::new()
                 .name("p4lru-accept".to_owned())
-                .spawn(move || accept_loop(&listener, &ctx, &handlers, max_conns))?
+                .spawn(move || accept_loop(&listener, &ctx, max_conns))?
         };
 
         // Replication threads: the listener serves WAL pulls straight from
@@ -622,20 +596,15 @@ impl Server {
                 let metrics = metrics.clone();
                 let tracer = Arc::clone(&tracer);
                 let conns = Arc::clone(&conns);
-                let reactor = reactor.clone();
-                let frontend_name = config.frontend.name();
+                let reactor = Arc::clone(&reactor);
                 let repl = repl_state.clone();
                 Some(MetricsHttp::serve(addr, move || {
-                    let reactor_loops = reactor
-                        .as_deref()
-                        .map(reactor_snapshots)
-                        .unwrap_or_default();
                     render_prometheus_full(
                         &metrics,
                         &tracer,
                         None,
-                        Some(&conns.snapshot(frontend_name)),
-                        &reactor_loops,
+                        Some(&conns.snapshot()),
+                        &reactor_snapshots(&reactor),
                         repl.as_deref().map(ReplState::snapshot).as_ref(),
                     )
                 })?)
@@ -672,13 +641,11 @@ impl Server {
             running,
             accept: Some(accept),
             shard_handles,
-            handlers,
             senders,
             metrics,
             tracer,
             conns,
             reactor,
-            frontend: config.frontend,
             metrics_http,
             sampler,
             start_mode,
@@ -713,15 +680,13 @@ impl Server {
     /// A stats report straight from the shards' atomic counters, with the
     /// tracer's per-stage summaries attached when tracing is on.
     pub fn stats(&self) -> StatsReport {
-        let mut report = build_report(&self.metrics, &self.tracer)
-            .with_conns(self.conns.snapshot(self.frontend.name()));
-        if let Some(reactor) = &self.reactor {
-            report = report.with_reactor(reactor_snapshots(reactor));
-        }
-        if let Some(repl) = &self.repl {
-            report = report.with_cluster(repl.snapshot());
-        }
-        report
+        full_report(
+            &self.metrics,
+            &self.tracer,
+            &self.conns,
+            &self.reactor,
+            self.repl.as_deref(),
+        )
     }
 
     /// The span tracer (drain slow-op traces, read stage histograms).
@@ -760,16 +725,10 @@ impl Server {
         if let Some(accept) = self.accept.take() {
             let _ = accept.join();
         }
-        let handlers = std::mem::take(&mut *self.handlers.lock().expect("handler list poisoned"));
-        for h in handlers {
-            let _ = h.join();
-        }
         // The reactor's event loops own their connection drivers (which hold
         // `Ctx`, and through it shard senders); stopping them drops the last
         // connections before the shard channels are declared closed.
-        if let Some(reactor) = &self.reactor {
-            reactor.shutdown();
-        }
+        self.reactor.shutdown();
         // Replication threads hold shard senders too, so they must exit
         // before the shard channels can close. The puller notices
         // `running` within its bounded read timeout; the repl accept
@@ -783,9 +742,9 @@ impl Server {
             }
             let _ = accept.join();
         }
-        // Shard threads exit once every sender is gone (accept loop,
-        // handlers, and reactor drivers are done by now, so these are the
-        // last clones).
+        // Shard threads exit once every sender is gone (accept loop and
+        // connection drivers are done by now, so these are the last
+        // clones).
         self.senders.clear();
         for h in self.shard_handles.drain(..) {
             let _ = h.join();
@@ -932,7 +891,8 @@ fn shard_loop(
         let gate = std::time::Instant::now();
         for (reply, seq, response, mut trace, _) in batch.drain(..) {
             tracer.stamp_at(&mut trace, Stage::Fsync, gate);
-            // A vanished handler (client hung up mid-request) is not an error.
+            // A vanished connection (client hung up mid-request) is not an
+            // error.
             reply.send((seq, response, trace));
         }
     }
@@ -951,12 +911,7 @@ fn reject_connection(stream: TcpStream, max_conns: usize) {
     let _ = write_frame(&mut stream, &out);
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    ctx: &Arc<Ctx>,
-    handlers: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-    max_conns: usize,
-) {
+fn accept_loop(listener: &TcpListener, ctx: &Arc<Ctx>, max_conns: usize) {
     loop {
         let (stream, _) = match listener.accept() {
             Ok(pair) => pair,
@@ -975,44 +930,26 @@ fn accept_loop(
             reject_connection(stream, max_conns);
             continue;
         }
-        if let Some(reactor) = &ctx.reactor {
-            ctx.conns.opened();
-            let conn_ctx = Arc::clone(ctx);
-            // `register` only errs before the driver exists (reactor
-            // stopping / fd registration failed) — the stream just drops.
-            if reactor
-                .register(stream, move |stream, mailbox| {
-                    ReactorConn::new(stream, mailbox, conn_ctx)
-                        .map(|c| Box::new(c) as Box<dyn p4lru_reactor::Driver<Msg = Reply>>)
-                })
-                .is_err()
-            {
-                ctx.conns.closed();
-            }
-            continue;
-        }
         ctx.conns.opened();
         let conn_ctx = Arc::clone(ctx);
-        match thread::Builder::new()
-            .name("p4lru-conn".to_owned())
-            .spawn(move || {
-                handle_connection(stream, &conn_ctx);
-                conn_ctx.conns.closed();
-            }) {
-            Ok(handle) => {
-                let mut list = handlers.lock().expect("handler list poisoned");
-                list.retain(|h| !h.is_finished());
-                list.push(handle);
-            }
-            Err(_) => ctx.conns.closed(),
+        // `register` only errs before the driver exists (reactor stopping /
+        // fd registration failed) — the stream just drops.
+        if ctx
+            .reactor
+            .register(stream, move |stream, mailbox| {
+                ReactorConn::new(stream, mailbox, conn_ctx)
+                    .map(|c| Box::new(c) as Box<dyn p4lru_reactor::Driver<Msg = Reply>>)
+            })
+            .is_err()
+        {
+            ctx.conns.closed();
         }
     }
 }
 
 /// Per-connection pump state: sequence counters, the reorder buffer, and
-/// the one reply sink every shard sends back on. Both front-ends run this
-/// same state machine; they differ only in how they wait (a blocking
-/// handler thread vs. a reactor driver).
+/// the one reply sink every shard sends back on. The connection driver
+/// ([`ReactorConn`]) owns one and adds the socket and its buffers.
 pub(crate) struct Conn {
     /// Sequence number the next parsed request gets.
     next_seq: u64,
@@ -1093,10 +1030,9 @@ impl Conn {
 /// `flush`, finish into the tracer (stage histograms + rings), record the
 /// end-to-end latency in the owning shard's per-op histogram, and log the
 /// breakdown if it crossed the slow-op threshold. Callers invoke this only
-/// after the write buffer actually drained (a blocking `flush`, or a
-/// nonblocking flush that returned "empty") — the reactor front-end may
-/// flush a buffer across several readiness events before the traces in it
-/// complete.
+/// after the write buffer actually drained (a nonblocking flush that
+/// returned "empty") — a connection may flush a buffer across several
+/// readiness events before the traces in it complete.
 pub(crate) fn complete_flushed(conn: &mut Conn, ctx: &Ctx) {
     for mut trace in conn.unflushed.drain(..) {
         ctx.tracer.stamp(&mut trace, Stage::Flush);
@@ -1109,112 +1045,6 @@ pub(crate) fn complete_flushed(conn: &mut Conn, ctx: &Ctx) {
                     done.trace.breakdown()
                 );
             }
-        }
-    }
-}
-
-/// Flushes the write buffer to the socket (blocking), then completes the
-/// traces whose responses just hit the wire.
-fn flush_finished<W: Write>(
-    writer: &mut FrameWriter<W>,
-    conn: &mut Conn,
-    ctx: &Ctx,
-) -> io::Result<()> {
-    writer.flush()?;
-    complete_flushed(conn, ctx);
-    Ok(())
-}
-
-/// The pipelined connection pump. One thread, three obligations, strictly
-/// ordered so a blocking wait can never starve the peer:
-///
-/// 1. ship every reply that is ready, in request order;
-/// 2. park on the reply channel whenever requests are in flight (a
-///    closed-loop peer won't send more until those replies land);
-/// 3. otherwise read requests — draining frames already buffered before
-///    paying another `read` syscall — and dispatch up to the window.
-fn handle_connection(stream: TcpStream, ctx: &Ctx) {
-    // Replies must hit the wire the moment we flush.
-    let _ = stream.set_nodelay(true);
-    // Bound every read so an idle connection notices shutdown.
-    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = FrameReader::new(stream);
-    let mut writer = FrameWriter::new(write_half);
-    let (reply_tx, reply_rx) = mpsc::channel();
-    let mut conn = Conn::new(ReplySink::Chan(reply_tx));
-    let mut frame = Vec::new();
-    loop {
-        // (1) Collect whatever replies already arrived and ship the ready
-        // prefix.
-        while let Ok((seq, reply, trace)) = reply_rx.try_recv() {
-            conn.park(seq, reply, trace);
-        }
-        if conn.write_ready(&mut writer, ctx).is_err() {
-            return;
-        }
-        if conn.shutdown_acked() {
-            let _ = flush_finished(&mut writer, &mut conn, ctx);
-            ctx.running.store(false, Ordering::SeqCst);
-            let _ = TcpStream::connect(ctx.local_addr); // wake the accept loop
-            return;
-        }
-
-        // (2) Read more requests only when under the window, not draining
-        // for shutdown, and — unless frames are already buffered — nothing
-        // is in flight (with requests outstanding, the next event that
-        // matters is a reply; new frames keep in the kernel buffer).
-        let may_read = conn.outstanding() < ctx.pipeline_window && conn.shutdown_at.is_none();
-        if may_read && (conn.outstanding() == 0 || reader.has_buffered_frame()) {
-            if conn.outstanding() == 0 && !reader.has_buffered_frame() {
-                // About to block on the socket: everything written so far
-                // must be visible to the peer first.
-                if flush_finished(&mut writer, &mut conn, ctx).is_err() {
-                    return;
-                }
-            }
-            match reader.read_frame(&mut frame) {
-                Ok(true) => serve(&frame, reader.take_span(), ctx, &mut conn),
-                Ok(false) => return, // clean disconnect
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if !ctx.running.load(Ordering::SeqCst) {
-                        return;
-                    }
-                }
-                Err(_) => return,
-            }
-            continue;
-        }
-
-        if conn.outstanding() == 0 {
-            // Nothing in flight and nothing to read: only reachable while
-            // draining a shutdown whose ack was just written (handled
-            // above), so this is unreachable — but a stray state must not
-            // spin.
-            return;
-        }
-
-        // (3) Requests are in flight: block for the next reply. Flush
-        // first — the peer may be waiting on buffered responses before it
-        // sends (or reads) anything else.
-        if flush_finished(&mut writer, &mut conn, ctx).is_err() {
-            return;
-        }
-        match reply_rx.recv_timeout(POLL_INTERVAL) {
-            Ok((seq, reply, trace)) => conn.park(seq, reply, trace),
-            Err(RecvTimeoutError::Timeout) => {
-                if !ctx.running.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
         }
     }
 }
@@ -1484,6 +1314,38 @@ mod tests {
         );
         server.shutdown();
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn unusable_sizing_is_refused_not_a_panic() {
+        for (what, config) in [
+            (
+                "zero shards",
+                ServerConfig {
+                    shards: 0,
+                    ..tiny_config()
+                },
+            ),
+            (
+                "zero window",
+                ServerConfig {
+                    pipeline_window: 0,
+                    ..tiny_config()
+                },
+            ),
+            (
+                "zero units",
+                ServerConfig {
+                    units_per_shard: 0,
+                    ..tiny_config()
+                },
+            ),
+        ] {
+            match Server::spawn(&config) {
+                Ok(_) => panic!("{what} must be refused"),
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidInput, "{what}: {e}"),
+            }
+        }
     }
 
     #[test]

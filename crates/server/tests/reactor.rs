@@ -1,22 +1,25 @@
-//! Reactor front-end integration tests (DESIGN.md §12).
+//! Connection front-end integration tests (DESIGN.md §12).
 //!
-//! The reactor multiplexes every connection onto a fixed pool of event-loop
-//! threads, but its observable contract is identical to the threads
-//! front-end: per-connection responses in request order, pipelining capped
-//! by the server window, SHUTDOWN honored, STATS/`/metrics` served. These
-//! tests drive it with blocking clients — a thousand of them at once — so
-//! any edge-triggered stall (a reply that never flushes, a read that never
-//! resumes) shows up as a hang or an out-of-order reply.
+//! The server multiplexes every connection onto a fixed pool of event-loop
+//! threads. Its observable contract: per-connection responses in request
+//! order, pipelining capped by the server window, SHUTDOWN honored,
+//! STATS/`/metrics` served. These tests drive it with blocking clients — a
+//! thousand of them at once — so any edge-triggered stall (a reply that
+//! never flushes, a read that never resumes) shows up as a hang or an
+//! out-of-order reply.
 
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
+use std::time::{Duration, Instant};
 
 use p4lru_kvstore::db::record_for;
 use p4lru_obs::http::http_get;
 use p4lru_server::client::Client;
-use p4lru_server::protocol::Response;
-use p4lru_server::server::{Frontend, Server, ServerConfig};
+use p4lru_server::protocol::{encode_get, read_frame, write_frame, Response};
+use p4lru_server::server::{Server, ServerConfig};
 
 const ITEMS: u64 = 200;
 
@@ -25,7 +28,6 @@ fn reactor_config() -> ServerConfig {
         items: ITEMS,
         units_per_shard: 64,
         shards: 2,
-        frontend: Frontend::Reactor,
         io_threads: 2,
         ..ServerConfig::default()
     }
@@ -151,7 +153,14 @@ fn thousand_concurrent_connections_hold_and_answer_in_order() {
         .collect();
 
     all_connected.wait();
-    let held = server.stats().conns;
+    // Every `connect()` has returned, but the accept thread may still be
+    // taking the last few from the kernel backlog: wait for the gauge.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut held = server.stats().conns;
+    while held.current < (THREADS * CONNS_PER_THREAD) as u64 && Instant::now() < deadline {
+        thread::sleep(Duration::from_millis(5));
+        held = server.stats().conns;
+    }
     assert_eq!(
         held.current,
         (THREADS * CONNS_PER_THREAD) as u64,
@@ -177,9 +186,9 @@ fn thousand_concurrent_connections_hold_and_answer_in_order() {
     assert_eq!(loop_conns, 0, "every connection deregistered at the end");
 }
 
-fn rejection_past_max_conns(frontend: Frontend) {
+#[test]
+fn connections_past_the_limit_get_an_err_frame() {
     let server = Server::spawn(&ServerConfig {
-        frontend,
         max_conns: 2,
         ..reactor_config()
     })
@@ -195,7 +204,7 @@ fn rejection_past_max_conns(frontend: Frontend) {
     let err = c.get(3).expect_err("past the limit there is no service");
     let _ = err;
     let stats = server.stats();
-    assert_eq!(stats.conns.frontend, frontend.name());
+    assert_eq!(stats.conns.frontend, "reactor");
     assert_eq!(stats.conns.current, 2);
     assert_eq!(stats.conns.rejected_total, 1);
     // Dropping one admitted connection frees a slot for a newcomer.
@@ -214,13 +223,60 @@ fn rejection_past_max_conns(frontend: Frontend) {
 }
 
 #[test]
-fn connections_past_the_limit_get_an_err_frame_threads() {
-    rejection_past_max_conns(Frontend::Threads);
-}
+fn split_frame_is_answered_while_earlier_replies_stream_back() {
+    let server = Server::spawn(&reactor_config()).unwrap();
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
 
-#[test]
-fn connections_past_the_limit_get_an_err_frame_reactor() {
-    rejection_past_max_conns(Frontend::Reactor);
+    // One write: a pipelined burst of whole GETs, then the first bytes of
+    // one more. The server reads up to the partial frame and finds the
+    // socket empty; the burst's replies then reach the connection through
+    // its mailbox, on turns with no new bytes to read.
+    const BURST: u64 = 32;
+    let mut payload = Vec::new();
+    let mut wire = Vec::new();
+    for key in 0..BURST {
+        encode_get(key, &mut payload);
+        write_frame(&mut wire, &payload).unwrap();
+    }
+    let split_key = 77;
+    encode_get(split_key, &mut payload);
+    let mut split = Vec::new();
+    write_frame(&mut split, &payload).unwrap();
+    let (head, tail) = split.split_at(3);
+    wire.extend_from_slice(head);
+    stream.write_all(&wire).unwrap();
+
+    let mut frame = Vec::new();
+    for key in 0..BURST {
+        assert!(read_frame(&mut stream, &mut frame).unwrap());
+        assert_eq!(
+            Response::decode(&frame).unwrap(),
+            Response::Value(record_for(key).to_vec()),
+            "burst reply {key}"
+        );
+    }
+    // The rest of the split frame arrives on its own, after a pause.
+    thread::sleep(Duration::from_millis(50));
+    stream.write_all(tail).unwrap();
+    assert!(read_frame(&mut stream, &mut frame).unwrap());
+    assert_eq!(
+        Response::decode(&frame).unwrap(),
+        Response::Value(record_for(split_key).to_vec()),
+        "the split request is answered after the burst"
+    );
+    // And the connection keeps serving.
+    encode_get(5, &mut payload);
+    write_frame(&mut stream, &payload).unwrap();
+    assert!(read_frame(&mut stream, &mut frame).unwrap());
+    assert_eq!(
+        Response::decode(&frame).unwrap(),
+        Response::Value(record_for(5).to_vec())
+    );
+    let stats = server.shutdown();
+    assert_eq!(stats.totals.gets, BURST + 2);
 }
 
 #[test]
